@@ -4,8 +4,6 @@
 //! cargo run --release -p ezflow-bench --bin hotpath_bench               # measure + record
 //! cargo run --release -p ezflow-bench --bin hotpath_bench -- --check    # CI gate (non-flaky)
 //! cargo run --release -p ezflow-bench --bin hotpath_bench -- --bless    # refresh the golden
-//! cargo run --release -p ezflow-bench --bin hotpath_bench -- --sched=heap
-//! cargo run --release -p ezflow-bench --bin hotpath_bench -- --shards=4
 //! ```
 //!
 //! Times the two inner-loop workloads the repo optimises for:
@@ -15,39 +13,33 @@
 //!   pre-optimisation baseline for exactly this run is ~4.0 M events/s
 //!   ([`BASELINE_EVENTS_PER_SEC`]); the PR 4 hot-path pass raised it to
 //!   ~6.2 M ([`PR4_EVENTS_PER_SEC`]), and the calendar-queue scheduler
-//!   with pop-time stale elision is gated on beating *that* by ≥ 1.3×.
+//!   with keyed timer rescheduling is gated on beating *that* by ≥ 1.3×.
 //! * **grid/dense** — a 4×4 grid where every node carrier-senses every
 //!   other (degree ≈ N), the worst case for the neighbor-list path: the
 //!   stressor proves the optimisation never *loses* to the full scan it
 //!   replaced, even when the lists cannot shrink the work.
 //!
 //! Throughput is counted in events **consumed** per wall second —
-//! dispatched plus stale-elided plus keyed-rescheduled. Each term is a
-//! scheduler entry the simulation paid for that earlier generations
-//! dispatched: elision turned dead MAC timers into pop-time counter
-//! bumps, and keyed rescheduling (eager parking) then turned almost all
-//! of *those* into in-place moves that never reach the pop loop at all.
-//! Counting all three keeps the metric apples-to-apples with the
-//! committed PR 4 number, which was measured when every stale timer was
-//! still dispatched. Each run entry also records the scheduled /
-//! dispatched / elided / rescheduled split and the stale fraction
-//! (elided over consumed — near zero now that parking removes stale
-//! entries before they ever surface).
+//! dispatched plus keyed-rescheduled. Each term is a scheduler entry the
+//! simulation paid for that earlier generations dispatched: keyed
+//! rescheduling (eager parking) turned dead MAC timers into in-place
+//! moves that never reach the pop loop at all. Counting both keeps the
+//! metric apples-to-apples with the committed hot-path-pass number, which was
+//! measured when every stale timer was still dispatched. Each run entry
+//! also records the scheduled / dispatched / stale / rescheduled split
+//! and the stale fraction (stale MAC timers that reached dispatch, over
+//! consumed — zero now that parking removes them before they surface).
 //!
 //! The default mode writes a `"hotpath"` entry (before/after events/s,
-//! the per-run elision accounting, machine info) plus a
-//! `"sched_compare"` heap-vs-wheel entry into `BENCH_sim_speed.json`.
-//! `--sched=heap|wheel` picks the backend for the main runs.
+//! the per-run timer accounting, machine info) into
+//! `BENCH_sim_speed.json`.
 //!
 //! `--check` is the regression gate `scripts/check.sh` runs: it executes
-//! every workload under **both** scheduler backends and at shard counts
-//! 2 and 4, requires all perf-zeroed snapshots to be byte-identical to
-//! the serial wheel run's, and compares them byte-for-byte against the
-//! committed golden (`crates/bench/golden/hotpath.json`), failing on any
-//! drift; determinism makes this non-flaky. `--diff-dir=DIR` writes the
-//! mismatching sharded digests to `DIR` for CI to upload on failure. It then *warns* (never fails — CI
-//! machines vary) if events/s fell more than 20% below the recorded
-//! `"hotpath"` entry.
+//! every workload and compares the perf-zeroed snapshots byte-for-byte
+//! against the committed golden (`crates/bench/golden/hotpath.json`),
+//! failing on any drift; determinism makes this non-flaky. It then
+//! *warns* (never fails — CI machines vary) if events/s fell more than
+//! 20% below the recorded `"hotpath"` entry.
 //!
 //! These runs keep the flight recorder **off** (`flight_cap = 0`, the
 //! default), so the golden byte-compare doubles as the recorder's
@@ -71,7 +63,7 @@ use std::path::PathBuf;
 
 use ezflow_bench::experiments::{scenario1, Algo};
 use ezflow_bench::report::Scale;
-use ezflow_net::{topo, Network, PerfSnapshot, SchedKind};
+use ezflow_net::{topo, Network, PerfSnapshot};
 use ezflow_sim::{JsonValue, Time};
 
 /// Mean events/s of the two committed `scenario1/quick` baseline
@@ -97,8 +89,9 @@ struct Timed {
     scheduled: u64,
     /// Events dispatched to handlers.
     dispatched: u64,
-    /// Stale timers elided inside the scheduler's pop loop.
-    elided: u64,
+    /// Stale MAC timers that reached dispatch (already counted in
+    /// `dispatched`; see [`Network::sched_stale_elided`]).
+    stale: u64,
     /// Timer entries moved in place by keyed rescheduling — consumed
     /// without ever reaching the pop loop.
     rescheduled: u64,
@@ -109,17 +102,17 @@ struct Timed {
 }
 
 impl Timed {
-    /// Dispatched + elided + rescheduled: every scheduler entry the
-    /// simulation consumed, wherever it died.
+    /// Dispatched + rescheduled: every scheduler entry the simulation
+    /// consumed, wherever it died.
     fn consumed(&self) -> u64 {
-        self.dispatched + self.elided + self.rescheduled
+        self.dispatched + self.rescheduled
     }
 
     /// Fraction of consumed entries that went stale before their instant
     /// (the turbulence the eager-parking scheduler is built to remove).
     fn stale_fraction(&self) -> f64 {
         if self.consumed() > 0 {
-            self.elided as f64 / self.consumed() as f64
+            self.stale as f64 / self.consumed() as f64
         } else {
             0.0
         }
@@ -152,7 +145,7 @@ fn timed(label: &str, mut net: Network, until: Time) -> Timed {
         label: label.to_string(),
         scheduled,
         dispatched: net.events_processed(),
-        elided: net.sched_stale_elided(),
+        stale: net.sched_stale_elided(),
         rescheduled: net.sched_rescheduled(),
         wall_secs: net.wall_time().as_secs_f64(),
         buffer_reuses: net.buffer_reuses(),
@@ -162,24 +155,20 @@ fn timed(label: &str, mut net: Network, until: Time) -> Timed {
 
 /// The quick scenario-1 runs — the same topology, timeline, seed and
 /// controllers whose perf the committed baseline snapshots recorded.
-fn scenario1_runs(sched: SchedKind, shards: usize) -> Vec<Timed> {
-    scenario1_runs_with(sched, None, 0, shards)
+fn scenario1_runs() -> Vec<Timed> {
+    scenario1_runs_with(None, 0)
 }
 
-/// Same runs with an explicit telemetry interval (`Some` arms the bus),
-/// audit capacity (nonzero arms the ledger) and scheduler shard count:
-/// the overhead workloads and the on/off equivalence gates.
+/// Same runs with an explicit telemetry interval (`Some` arms the bus)
+/// and audit capacity (nonzero arms the ledger): the overhead workloads
+/// and the on/off equivalence gates.
 fn scenario1_runs_with(
-    sched: SchedKind,
     telemetry_every: Option<ezflow_sim::Duration>,
     audit_cap: usize,
-    shards: usize,
 ) -> Vec<Timed> {
     let mut scale = Scale::quick();
-    scale.sched = sched;
     scale.telemetry_every = telemetry_every;
     scale.audit_cap = audit_cap;
-    scale.shards = shards;
     let tl = scenario1::scale_timeline(scale, &[5, 605, 1805, 2504]);
     let (t0, t1, t2, t3) = (tl[0], tl[1], tl[2], tl[3]);
     let mut t = topo::scenario1();
@@ -197,12 +186,10 @@ fn scenario1_runs_with(
 }
 
 /// The dense-mesh stressor: every node senses every other.
-fn grid_run(sched: SchedKind, shards: usize) -> Timed {
+fn grid_run() -> Timed {
     let until = Time::from_secs(300);
     let t = topo::grid(4, 4, 140.0, Time::ZERO, until);
-    let mut scale = Scale::quick();
-    scale.sched = sched;
-    scale.shards = shards;
+    let scale = Scale::quick();
     let net = Network::new(scale.spec(&t, 42), &*Algo::Plain.factory());
     timed("grid/4x4/140m", net, until)
 }
@@ -236,7 +223,7 @@ fn golden_doc(runs: &[Timed]) -> String {
     text
 }
 
-/// Consumed (dispatched + elided) events per wall second over `runs`.
+/// Consumed (dispatched + rescheduled) events per wall second over `runs`.
 fn events_per_sec(runs: &[Timed]) -> f64 {
     let events: u64 = runs.iter().map(Timed::consumed).sum();
     let wall: f64 = runs.iter().map(|r| r.wall_secs).sum();
@@ -251,7 +238,7 @@ fn run_entry(r: &Timed) -> JsonValue {
     JsonValue::obj(vec![
         ("events_scheduled", (r.scheduled as f64).into()),
         ("events_dispatched", (r.dispatched as f64).into()),
-        ("events_elided", (r.elided as f64).into()),
+        ("events_elided", (r.stale as f64).into()),
         ("events_rescheduled", (r.rescheduled as f64).into()),
         ("stale_fraction", r.stale_fraction().into()),
         ("wall_secs", r.wall_secs.into()),
@@ -299,28 +286,27 @@ fn best_of<F: Fn() -> Vec<Timed>>(f: F) -> Vec<Timed> {
         .expect("PASSES >= 1")
 }
 
-fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::ExitCode {
-    let mut runs = best_of(|| scenario1_runs(sched, shards));
+fn measure(out: &PathBuf) -> std::process::ExitCode {
+    let mut runs = best_of(scenario1_runs);
     let scenario_eps = events_per_sec(&runs);
-    let grid = best_of(|| vec![grid_run(sched, shards)]).remove(0);
+    let grid = best_of(|| vec![grid_run()]).remove(0);
     let grid_eps = events_per_sec(std::slice::from_ref(&grid));
     runs.push(grid);
     let speedup = scenario_eps / BASELINE_EVENTS_PER_SEC;
     let speedup_pr4 = scenario_eps / PR4_EVENTS_PER_SEC;
     eprintln!(
-        "scenario1/quick [{}]: {scenario_eps:.0} events/s consumed \
+        "scenario1/quick: {scenario_eps:.0} events/s consumed \
          ({speedup:.2}x over the {BASELINE_EVENTS_PER_SEC:.0} baseline, \
-         {speedup_pr4:.2}x over the {PR4_EVENTS_PER_SEC:.0} PR 4 number)",
-        sched.name()
+         {speedup_pr4:.2}x over the {PR4_EVENTS_PER_SEC:.0} hot-path-pass number)"
     );
     eprintln!("grid/dense:      {grid_eps:.0} events/s consumed");
     for r in &runs {
         eprintln!(
-            "  {}: {} dispatched + {} elided + {} rescheduled of {} scheduled \
+            "  {}: {} dispatched ({} stale) + {} rescheduled of {} scheduled \
              in {:.3} s, {} buffer reuses, stale fraction {:.7}",
             r.label,
             r.dispatched,
-            r.elided,
+            r.stale,
             r.rescheduled,
             r.scheduled,
             r.wall_secs,
@@ -329,30 +315,10 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
         );
     }
 
-    // Same workload, both backends, best-of-N each: the committed
-    // apples-to-apples heap-vs-wheel comparison.
-    let heap_eps = events_per_sec(&best_of(|| scenario1_runs(SchedKind::Heap, shards)));
-    let wheel_eps = events_per_sec(&best_of(|| scenario1_runs(SchedKind::Wheel, shards)));
-    eprintln!(
-        "sched compare:   heap {heap_eps:.0} vs wheel {wheel_eps:.0} events/s ({:.2}x)",
-        wheel_eps / heap_eps
-    );
-    let compare = JsonValue::obj(vec![
-        ("workload", JsonValue::Str("scenario1/quick".to_string())),
-        ("heap_events_per_sec", heap_eps.into()),
-        ("wheel_events_per_sec", wheel_eps.into()),
-        ("wheel_speedup", (wheel_eps / heap_eps).into()),
-    ]);
-
     // Same workload with the telemetry bus armed at its default 100 ms:
     // the recorded telemetry-on cost, gated advisorily at 10%.
     let tel_eps = events_per_sec(&best_of(|| {
-        scenario1_runs_with(
-            sched,
-            Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY),
-            0,
-            shards,
-        )
+        scenario1_runs_with(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0)
     }));
     let tel_overhead = 1.0 - tel_eps / scenario_eps;
     eprintln!(
@@ -379,7 +345,7 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
     // Same workload with the audit ledger armed at the CLI's default
     // capacity: the recorded audit-on cost, same 10% advisory budget.
     let audit_eps = events_per_sec(&best_of(|| {
-        scenario1_runs_with(sched, None, ezflow_net::NetworkSpec::AUDIT_CAP, shards)
+        scenario1_runs_with(None, ezflow_net::NetworkSpec::AUDIT_CAP)
     }));
     let audit_overhead = 1.0 - audit_eps / scenario_eps;
     eprintln!(
@@ -415,7 +381,6 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
         ("events_per_sec", scenario_eps.into()),
         ("speedup_vs_baseline", speedup.into()),
         ("speedup_vs_pr4", speedup_pr4.into()),
-        ("sched", JsonValue::Str(sched.name().to_string())),
         ("machine_parallelism", (machine as f64).into()),
         ("os", JsonValue::Str(std::env::consts::OS.to_string())),
         ("arch", JsonValue::Str(std::env::consts::ARCH.to_string())),
@@ -423,7 +388,6 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
     for r in &runs {
         fields.push((r.label.as_str(), run_entry(r)));
     }
-    fields.push(("sched_compare", compare));
     fields.push(("telemetry_overhead", telemetry));
     fields.push(("audit_overhead", audit));
     let entry = JsonValue::obj(fields);
@@ -446,88 +410,20 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
     std::process::ExitCode::SUCCESS
 }
 
-/// All gated workloads under one backend and shard count.
-fn all_runs(sched: SchedKind, shards: usize) -> Vec<Timed> {
-    let mut runs = scenario1_runs(sched, shards);
-    runs.push(grid_run(sched, shards));
+/// All gated workloads.
+fn all_runs() -> Vec<Timed> {
+    let mut runs = scenario1_runs();
+    runs.push(grid_run());
     runs
 }
 
-/// Writes the two mismatching digests (pretty-printed, one key per line
-/// — the flattened form CI uploads as its diff artifact) into `dir`.
-fn write_diff_artifact(dir: &std::path::Path, label: &str, want: &Timed, got: &Timed, tag: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("failed to create {}: {e}", dir.display());
-        return;
-    }
-    let stem = label.replace('/', "_");
-    let pretty = |t: &Timed| {
-        let mut text = JsonValue::parse(&t.digest)
-            .expect("digest is valid JSON")
-            .to_pretty();
-        text.push('\n');
-        text
-    };
-    for (suffix, t) in [("serial", want), (tag, got)] {
-        let path = dir.join(format!("{stem}.{suffix}.json"));
-        match std::fs::write(&path, pretty(t)) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
-    }
-}
-
-fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::ExitCode {
-    let wheel_runs = all_runs(SchedKind::Wheel, 1);
-    let heap_runs = all_runs(SchedKind::Heap, 1);
-    // Backend equivalence first: heap and wheel must leave byte-identical
-    // perf-zeroed snapshots behind on every workload.
-    for (w, h) in wheel_runs.iter().zip(&heap_runs) {
-        if w.digest != h.digest {
-            eprintln!(
-                "scheduler backends DIVERGED on {}: the wheel's snapshot does not\n\
-                 match the heap's. The backends must be observationally identical;\n\
-                 see crates/sim/tests/sched_equiv.rs for the reduced property.",
-                w.label
-            );
-            return std::process::ExitCode::FAILURE;
-        }
-    }
-    eprintln!("heap and wheel snapshots byte-identical on every workload");
-
-    // Shard-count equivalence: partitioning the scheduler must leave the
-    // same simulation behind on every workload — the byte-identity
-    // contract of the sharded engine (crates/net/tests/shards.rs holds
-    // the same pin; this leg is what the CI 2-thread job runs, with
-    // `--diff-dir` capturing the mismatching digests as its artifact).
-    for shards in [2usize, 4] {
-        let sharded = all_runs(SchedKind::Wheel, shards);
-        for (s, w) in sharded.iter().zip(&wheel_runs) {
-            if s.digest != w.digest {
-                eprintln!(
-                    "sharded run DIVERGED on {} at shards={shards}: shard count must be\n\
-                     unobservable; see crates/net/src/partition.rs and\n\
-                     crates/sim/src/sched/sharded.rs.",
-                    s.label
-                );
-                if let Some(dir) = diff_dir {
-                    write_diff_artifact(dir, &s.label, w, s, &format!("shards{shards}"));
-                }
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-    }
-    eprintln!("sharded (2, 4) snapshots byte-identical to serial on every workload");
+fn check(out: &PathBuf) -> std::process::ExitCode {
+    let runs = all_runs();
 
     // Telemetry-on equivalence: arming the bus must leave the same
     // simulation behind (perf zeroed, stability stripped by `timed`).
-    let tel_runs = scenario1_runs_with(
-        SchedKind::Wheel,
-        Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY),
-        0,
-        1,
-    );
-    for (t, w) in tel_runs.iter().zip(&wheel_runs) {
+    let tel_runs = scenario1_runs_with(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0);
+    for (t, w) in tel_runs.iter().zip(&runs) {
         if t.digest != w.digest {
             eprintln!(
                 "telemetry-on snapshot DIVERGED from telemetry-off on {}: the\n\
@@ -543,13 +439,8 @@ fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::Exi
     // simulation behind (controller section stripped by `timed`; the
     // audit schedules nothing, so no counter compensation exists to get
     // wrong — any divergence is a probe writing where it should read).
-    let audit_runs = scenario1_runs_with(
-        SchedKind::Wheel,
-        None,
-        ezflow_net::NetworkSpec::AUDIT_CAP,
-        1,
-    );
-    for (a, w) in audit_runs.iter().zip(&wheel_runs) {
+    let audit_runs = scenario1_runs_with(None, ezflow_net::NetworkSpec::AUDIT_CAP);
+    for (a, w) in audit_runs.iter().zip(&runs) {
         if a.digest != w.digest {
             eprintln!(
                 "audit-on snapshot DIVERGED from audit-off on {}: the audit\n\
@@ -561,8 +452,8 @@ fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::Exi
     }
     eprintln!("audit-on snapshots byte-identical to audit-off");
 
-    let scenario_eps = events_per_sec(&wheel_runs[..2]);
-    let got = golden_doc(&wheel_runs);
+    let scenario_eps = events_per_sec(&runs[..2]);
+    let got = golden_doc(&runs);
     let golden = match std::fs::read_to_string(golden_path()) {
         Ok(text) => text,
         Err(e) => {
@@ -609,18 +500,7 @@ fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::Exi
 }
 
 fn bless() -> std::process::ExitCode {
-    let runs = all_runs(SchedKind::Wheel, 1);
-    // Refuse to bless a golden the heap backend cannot reproduce.
-    let heap_runs = all_runs(SchedKind::Heap, 1);
-    for (w, h) in runs.iter().zip(&heap_runs) {
-        if w.digest != h.digest {
-            eprintln!(
-                "refusing to bless: heap and wheel snapshots differ on {}",
-                w.label
-            );
-            return std::process::ExitCode::FAILURE;
-        }
-    }
+    let runs = all_runs();
     let text = golden_doc(&runs);
     let path = golden_path();
     if let Some(dir) = path.parent() {
@@ -640,35 +520,20 @@ fn bless() -> std::process::ExitCode {
 fn main() -> std::process::ExitCode {
     let mut out = bench_json_path();
     let mut mode = "measure";
-    let mut sched = SchedKind::default();
-    let mut shards = 1usize;
-    let mut diff_dir: Option<PathBuf> = None;
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--check" => mode = "check",
             "--bless" => mode = "bless",
             s if s.starts_with("--out=") => out = s["--out=".len()..].into(),
-            s if s.starts_with("--sched=") => {
-                sched = s["--sched=".len()..].parse().expect("heap|wheel");
-            }
-            s if s.starts_with("--shards=") => {
-                shards = s["--shards=".len()..].parse().expect("a shard count");
-            }
-            s if s.starts_with("--diff-dir=") => {
-                diff_dir = Some(PathBuf::from(&s["--diff-dir=".len()..]));
-            }
             _ => {
-                eprintln!(
-                    "usage: hotpath_bench [--check | --bless] [--out=FILE] \
-                     [--sched=heap|wheel] [--shards=N] [--diff-dir=DIR]"
-                );
+                eprintln!("usage: hotpath_bench [--check | --bless] [--out=FILE]");
                 return std::process::ExitCode::from(2);
             }
         }
     }
     match mode {
-        "check" => check(&out, diff_dir.as_deref()),
+        "check" => check(&out),
         "bless" => bless(),
-        _ => measure(&out, sched, shards),
+        _ => measure(&out),
     }
 }

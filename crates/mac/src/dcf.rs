@@ -221,9 +221,10 @@ pub struct MacStats {
     /// Countdowns that started with EIFS instead of DIFS (penalty after
     /// an undecodable frame).
     pub eifs_starts: u64,
-    /// Timer firings ignored because their epoch token was stale — the
-    /// cancellation-free scheduler's "cancelled" events, a direct read on
-    /// how many heap entries were scheduled and then abandoned.
+    /// Timer firings ignored because their epoch token was stale: timers
+    /// invalidated by a later MAC input that still reached dispatch. The
+    /// engine parks such timers before they pop, so this reads 0 unless
+    /// that discipline breaks.
     pub stale_epochs: u64,
 }
 
@@ -353,8 +354,9 @@ impl Mac {
     }
 
     /// Current tx-path epoch token. A pending [`MacInput::TimerTxPath`]
-    /// carrying an older epoch is dead: the scheduler's pop-time elision
-    /// hook compares against this to drop it without dispatching.
+    /// carrying an older epoch is dead: the engine compares against this
+    /// to park the timer before it pops, and the MAC itself discards (and
+    /// counts in [`MacStats::stale_epochs`]) any that still arrive.
     pub fn tx_epoch(&self) -> u64 {
         self.tx_epoch
     }

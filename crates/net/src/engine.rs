@@ -63,13 +63,6 @@ pub(crate) enum Ev {
     Telemetry,
 }
 
-/// Shard that hosts the global periodic events ([`Ev::Sample`],
-/// [`Ev::Backlog`], [`Ev::Telemetry`]): they scan *every* node, so they
-/// belong to no interference domain and are pinned to shard 0. Shard
-/// assignment never affects merged execution order — only which
-/// per-partition queue holds the entry — so this choice is free.
-pub(crate) const GLOBAL_SHARD: usize = 0;
-
 /// Number of *counted* [`Ev`] kinds, for the per-kind dispatch counters.
 /// `Ev::Telemetry` is deliberately not one of them: the sampler is
 /// intercepted before kind accounting (zero interference).
@@ -174,76 +167,19 @@ fn rx_outcome(o: DecodeOutcome) -> RxOutcome {
 impl Network {
     /// Runs the simulation up to and including instant `until`.
     ///
-    /// The pop loop delegates stale-timer detection to the scheduler's
-    /// [`ezflow_sim::Cancelable`] hook: a MAC timer whose epoch token no
-    /// longer matches its owner is elided *inside* the pop — never
-    /// dispatched, never worklisted — and counted in
-    /// [`ezflow_sim::Scheduler::stale_drops`]. The elision decision reads
-    /// only the owning MAC's current epoch, so it is a pure function of
-    /// simulation state and identical on either scheduler backend.
+    /// Every MAC timer the engine pops is live: a countdown the MAC
+    /// invalidates is parked (its entry removed) before control returns
+    /// here, and a re-arm moves the pending entry in place (see
+    /// `crate::hot::TimerSlot`). Debug builds assert that on every pop;
+    /// in release a stale timer that slipped through would reach the
+    /// MAC, which discards it and counts it in `stale_epochs`.
     pub fn run_until(&mut self, until: Time) {
         debug_assert!(self.worklist.is_empty());
         debug_assert!(self.rx_frames.is_empty());
         let t0 = std::time::Instant::now();
-        loop {
-            // Disjoint-field borrows: the hook reads `nodes` and writes
-            // `trace` and `hot` while `sched` is mutably borrowed by the
-            // pop.
-            let next = {
-                let nodes = &self.nodes;
-                let trace = &mut self.trace;
-                let hot = &mut self.hot;
-                self.sched.pop_before(until, |at: Time, ev: &Ev| {
-                    let (node, epoch, current, slot) = match *ev {
-                        Ev::MacTxPath { node, epoch } => (
-                            node,
-                            epoch,
-                            nodes[node].mac.tx_epoch(),
-                            &mut hot.tx_timer[node],
-                        ),
-                        Ev::MacAckJob { node, epoch } => (
-                            node,
-                            epoch,
-                            nodes[node].mac.ack_epoch(),
-                            &mut hot.ack_timer[node],
-                        ),
-                        // The periodic sampler re-arms itself on every
-                        // dispatch, so it is never stale — listed
-                        // explicitly so the hook stays audited against
-                        // the full event vocabulary.
-                        Ev::Telemetry => return false,
-                        _ => return false,
-                    };
-                    if epoch == current {
-                        return false;
-                    }
-                    // Defensive: with eager parking the engine removes an
-                    // invalidated timer before the pop loop ever sees it,
-                    // so this elision path should be dry. If it does fire,
-                    // the slot holding this entry's handle must be
-                    // cleared — the entry is consumed by the elision.
-                    if matches!(*slot, TimerSlot::Armed { epoch: e, .. } if e == epoch) {
-                        *slot = TimerSlot::Idle;
-                    }
-                    // An *event* drop, not a packet drop: the record goes
-                    // to the trace ring only and `seq` carries the dead
-                    // epoch token.
-                    if trace.enabled() {
-                        trace.push(
-                            at,
-                            node,
-                            TraceKind::Drop,
-                            TracePayload::Drop {
-                                cause: DropCause::StaleEpoch,
-                                seq: epoch,
-                            },
-                        );
-                    }
-                    true
-                })
-            };
-            let Some((at, ev)) = next else { break };
+        while let Some((at, ev)) = self.sched.pop_before(until) {
             debug_assert!(at >= self.now, "time went backwards");
+            debug_assert!(!self.is_stale(&ev), "popped a stale MAC timer: {ev:?}");
             self.now = at;
             // Zero-interference dispatch: the telemetry sampler never
             // touches `events` or the per-kind counters, so a
@@ -290,6 +226,16 @@ impl Network {
         self.wall += t0.elapsed();
     }
 
+    /// True if `ev` is a MAC timer armed under an epoch its MAC has
+    /// since moved past (debug assertion support for `run_until`).
+    fn is_stale(&self, ev: &Ev) -> bool {
+        match *ev {
+            Ev::MacTxPath { node, epoch } => epoch != self.nodes[node].mac.tx_epoch(),
+            Ev::MacAckJob { node, epoch } => epoch != self.nodes[node].mac.ack_epoch(),
+            _ => false,
+        }
+    }
+
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Traffic(i) => self.on_traffic(i),
@@ -318,15 +264,14 @@ impl Network {
     /// now. The slot decides the scheduler verb: a pending entry is moved
     /// in place, a parked one revived, and only a truly idle slot pays a
     /// fresh schedule — so freeze/restart churn never leaves abandoned
-    /// entries behind for pop-time elision.
+    /// entries behind in the queue.
     fn arm_tx_timer(&mut self, id: usize, after: Duration, epoch: u64) {
         let at = self.now + after;
-        let shard = self.hot.shard_of[id] as usize;
         let ev = Ev::MacTxPath { node: id, epoch };
         let h = match self.hot.tx_timer[id] {
-            TimerSlot::Armed { h, .. } => self.sched.reschedule(shard, Some(h), at, ev),
-            TimerSlot::Parked => self.sched.reschedule(shard, None, at, ev),
-            TimerSlot::Idle => self.sched.schedule_keyed(shard, at, ev),
+            TimerSlot::Armed { h, .. } => self.sched.reschedule(Some(h), at, ev),
+            TimerSlot::Parked => self.sched.reschedule(None, at, ev),
+            TimerSlot::Idle => self.sched.schedule_keyed(at, ev),
         };
         self.hot.tx_timer[id] = TimerSlot::Armed { h, epoch };
     }
@@ -334,12 +279,11 @@ impl Network {
     /// [`Network::arm_tx_timer`] for the ACK-job timer.
     fn arm_ack_timer(&mut self, id: usize, after: Duration, epoch: u64) {
         let at = self.now + after;
-        let shard = self.hot.shard_of[id] as usize;
         let ev = Ev::MacAckJob { node: id, epoch };
         let h = match self.hot.ack_timer[id] {
-            TimerSlot::Armed { h, .. } => self.sched.reschedule(shard, Some(h), at, ev),
-            TimerSlot::Parked => self.sched.reschedule(shard, None, at, ev),
-            TimerSlot::Idle => self.sched.schedule_keyed(shard, at, ev),
+            TimerSlot::Armed { h, .. } => self.sched.reschedule(Some(h), at, ev),
+            TimerSlot::Parked => self.sched.reschedule(None, at, ev),
+            TimerSlot::Idle => self.sched.schedule_keyed(at, ev),
         };
         self.hot.ack_timer[id] = TimerSlot::Armed { h, epoch };
     }
@@ -347,7 +291,7 @@ impl Network {
     /// Parks node `id`'s transmit-path timer if the MAC has invalidated
     /// it (epoch moved on) without re-arming: the scheduler entry is
     /// physically removed now, instead of sitting in the queue until its
-    /// instant arrives just to be elided. Called after every MAC
+    /// instant arrives and the MAC discards it. Called after every MAC
     /// interaction that can freeze a countdown; a live or empty slot is a
     /// two-word compare and fall-through.
     ///
@@ -357,7 +301,7 @@ impl Network {
     fn park_stale_tx(&mut self, id: usize) {
         if let TimerSlot::Armed { h, epoch } = self.hot.tx_timer[id] {
             if epoch != self.nodes[id].mac.tx_epoch() {
-                let found = self.sched.remove(self.hot.shard_of[id] as usize, h);
+                let found = self.sched.remove(h);
                 debug_assert!(found, "armed slot held a dead handle");
                 self.hot.tx_timer[id] = TimerSlot::Parked;
             }
@@ -416,8 +360,7 @@ impl Network {
         }
         let next = self.now + self.source_intervals[i];
         if next < s.stop {
-            let shard = self.hot.shard_of[s.src] as usize;
-            self.sched.schedule(shard, next, Ev::Traffic(i));
+            self.sched.schedule(next, Ev::Traffic(i));
         }
     }
 
@@ -433,15 +376,7 @@ impl Network {
             self.drain();
         }
         if let Some(p) = rearm {
-            // Same routing rule the builder uses for the initial arm: the
-            // refresh timer lives with the flow's source node.
-            let shard = self
-                .sources
-                .iter()
-                .find(|s| s.flow == flow)
-                .map_or(GLOBAL_SHARD, |s| self.hot.shard_of[s.src] as usize);
-            self.sched
-                .schedule(shard, self.now + p, Ev::WindowRefresh(flow));
+            self.sched.schedule(self.now + p, Ev::WindowRefresh(flow));
         }
     }
 
@@ -684,7 +619,7 @@ impl Network {
             self.metrics.on_sample(self.now, id, occ, cw);
         }
         self.sched
-            .schedule(GLOBAL_SHARD, self.now + self.sample_every, Ev::Sample);
+            .schedule(self.now + self.sample_every, Ev::Sample);
     }
 
     fn on_backlog(&mut self) {
@@ -714,7 +649,7 @@ impl Network {
         }
         self.drain();
         if let Some(p) = self.backlog_every {
-            self.sched.schedule(GLOBAL_SHARD, self.now + p, Ev::Backlog);
+            self.sched.schedule(self.now + p, Ev::Backlog);
         }
     }
 
@@ -740,7 +675,7 @@ impl Network {
         self.telemetry.finish_window(self.now);
         let next = self.now + self.telemetry.every();
         self.telemetry.note_push();
-        self.sched.schedule(GLOBAL_SHARD, next, Ev::Telemetry);
+        self.sched.schedule(next, Ev::Telemetry);
     }
 
     /// Processes queued MAC inputs until quiescence.
@@ -755,8 +690,8 @@ impl Network {
             if let WorkInput::MediumBusy = work {
                 self.nodes[id].mac.medium_busy(self.now);
                 // A busy toggle freezes any running countdown: park the
-                // invalidated timer entry instead of leaving it to be
-                // elided at pop time (the bulk of the old stale churn).
+                // invalidated timer entry instead of leaving it in the
+                // queue as stale churn.
                 self.park_stale_tx(id);
                 continue;
             }
@@ -832,7 +767,6 @@ impl Network {
                     &mut self.start_report,
                 );
                 self.sched.schedule(
-                    self.hot.shard_of[id] as usize,
                     end,
                     Ev::TxEnd {
                         tx: self.start_report.tx_id,
@@ -846,9 +780,8 @@ impl Network {
             MacOutput::SetTimerTxPath { after, epoch } => self.arm_tx_timer(id, after, epoch),
             MacOutput::SetTimerAckJob { after, epoch } => self.arm_ack_timer(id, after, epoch),
             MacOutput::SetTimerNav { after } => {
-                let shard = self.hot.shard_of[id] as usize;
                 self.sched
-                    .schedule(shard, self.now + after, Ev::MacNav { node: id });
+                    .schedule(self.now + after, Ev::MacNav { node: id });
             }
             MacOutput::TxSuccess { frame, .. } => {
                 // Terminal event: the MAC handed the id back; release it
@@ -1180,6 +1113,7 @@ impl Network {
         // schedule() calls. Subtracting all three makes the scheduler
         // block *equal* to a telemetry-off run's, not just close.
         let tel_resident = self.telemetry.enabled() as usize;
+        let stale_epochs = self.sched_stale_elided();
         RunSnapshot {
             label: label.to_string(),
             at_us: self.now.as_micros(),
@@ -1188,7 +1122,7 @@ impl Network {
             scheduler: SchedulerSnapshot {
                 scheduled_total: self.sched.scheduled_total() - self.telemetry.pushes(),
                 dispatched_total: self.events,
-                stale_elided: self.sched.stale_drops(),
+                stale_elided: stale_epochs,
                 rescheduled_total: self.sched.rescheduled_total(),
                 removed_total: self.sched.removed_total(),
                 pending: self.sched.len() - tel_resident,
@@ -1204,20 +1138,10 @@ impl Network {
                 PerfSnapshot {
                     wall_secs,
                     sim_secs,
-                    events_per_sec: per_wall(
-                        (self.events + self.sched.stale_drops() + self.sched.rescheduled_total())
-                            as f64,
-                    ),
+                    events_per_sec: per_wall((self.events + self.sched.rescheduled_total()) as f64),
                     sim_rate: per_wall(sim_secs),
                     sched_depth_high_water: (self.sched.depth_high_water() - tel_resident) as u64,
-                    // Elided timers plus the MAC's own defensive count (the
-                    // latter is zero when elision is doing its job).
-                    stale_epoch_drops: self.sched.stale_drops()
-                        + self
-                            .nodes
-                            .iter()
-                            .map(|n| n.mac.stats().stale_epochs)
-                            .sum::<u64>(),
+                    stale_epoch_drops: stale_epochs,
                     sched_rotations: wheel.rotations,
                     sched_overflow_refills: wheel.overflow_refills,
                     sched_bucket_high_water: wheel.bucket_high_water,
@@ -1226,14 +1150,6 @@ impl Network {
                     handler_ns: self.handler_ns,
                     telemetry_windows: self.telemetry.windows(),
                     telemetry_windows_per_sec: per_wall(self.telemetry.windows() as f64),
-                    // 0 for a serial run (the JSON key is omitted below
-                    // shards=2, so 0 — not 1 — is what round-trips).
-                    shards: match self.sched.shards() as u64 {
-                        1 => 0,
-                        k => k,
-                    },
-                    cut_deliveries: self.sched.cut_deliveries(),
-                    barrier_waits: self.sched.barrier_waits(),
                 }
             },
             latency: LatencySnapshot::default(),

@@ -12,7 +12,7 @@
 //! rescheduling ([`ezflow_sim::Scheduler::reschedule`]): each MAC keeps
 //! at most one pending transmit-path entry and one pending ACK-job entry,
 //! and the slot holds the live [`TimerHandle`] so a re-arm *moves* the
-//! entry instead of abandoning it to pop-time elision.
+//! entry instead of abandoning it in the queue.
 
 use ezflow_sim::TimerHandle;
 
@@ -25,7 +25,7 @@ use ezflow_sim::TimerHandle;
 /// entries never accumulate in the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TimerSlot {
-    /// No pending scheduler entry (the last one dispatched or was elided).
+    /// No pending scheduler entry (the last one dispatched).
     Idle,
     /// One pending entry, keyed by `h`, armed under epoch token `epoch`.
     Armed {
@@ -52,11 +52,6 @@ pub(crate) struct HotState {
     /// every node's queue `Vec`; `debug_assert`s in the sample path pin
     /// the mirror to the queues' ground truth.
     pub(crate) occupancy: Vec<u32>,
-    /// Partition (shard) of each node, from the interference-domain
-    /// partitioner ([`crate::partition`]). Every scheduler post for a
-    /// node's timer or transmission is routed to this shard's queue;
-    /// with one shard the array is all zeroes.
-    pub(crate) shard_of: Vec<u32>,
 }
 
 impl HotState {
@@ -65,7 +60,6 @@ impl HotState {
             tx_timer: vec![TimerSlot::Idle; n],
             ack_timer: vec![TimerSlot::Idle; n],
             occupancy: vec![0; n],
-            shard_of: vec![0; n],
         }
     }
 }

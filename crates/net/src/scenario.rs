@@ -456,6 +456,13 @@ impl ScenarioSpec {
     /// loss schedule, validates the result and expands the sweep.
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
         let until = secs_to_time("duration_secs", self.duration_secs)?;
+        // Zero capacities parse (they are integers) but cannot build.
+        if self.queue_cap == 0 {
+            return Err(field("queue_cap", "must be nonzero"));
+        }
+        if let Some(i) = self.sweep.queue_caps.iter().position(|&cap| cap == 0) {
+            return Err(field(&format!("sweep.queue_caps[{i}]"), "must be nonzero"));
+        }
         let positions = self.build_positions()?;
         let flows = self.build_flows(&positions, until)?;
         let topology = Topology {
@@ -1067,9 +1074,6 @@ fn parse_sweep(v: &JsonValue) -> Result<SweepSpec, ScenarioError> {
                     "must be a positive integer",
                 )
             })? as usize;
-            if cap == 0 {
-                return Err(field(&format!("sweep.queue_caps[{i}]"), "must be nonzero"));
-            }
             sweep.queue_caps.push(cap);
         }
     }

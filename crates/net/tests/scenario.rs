@@ -1,11 +1,12 @@
 //! Scenario-spec properties: any spec the strategy can generate must
 //! survive the JSON round trip unchanged, generative topologies must be
-//! pure functions of their seeds, and the on-off transport must shape a
+//! pure functions of their seeds, the compiler must reject a zero queue
+//! capacity with a typed error, and the on-off transport must shape a
 //! real network's offered load the way its duty cycle says.
 
 use ezflow_net::scenario::{
-    LinkBurst, LinkChurn, LinkPer, LossSpec, MixEntry, ScenarioSpec, SweepSpec, TopologySpec,
-    TrafficMix,
+    LinkBurst, LinkChurn, LinkPer, LossSpec, MixEntry, ScenarioError, ScenarioSpec, SweepSpec,
+    TopologySpec, TrafficMix,
 };
 use ezflow_net::{topo, FlowSpec, Network, NetworkSpec, Transport};
 use ezflow_phy::{ChurnWindow, GilbertElliott, Position};
@@ -348,4 +349,42 @@ fn onoff_flow_shapes_offered_load_end_to_end() {
         shaped < (cbr * 3) / 4 && shaped > cbr / 4,
         "shaped {shaped} vs cbr {cbr}: expected roughly half"
     );
+}
+
+/// A zero queue capacity is rejected by the compiler with an error that
+/// names the field — never passed on to `Network::new`, which would
+/// panic on it. Both the base value and a sweep entry are covered.
+#[test]
+fn zero_queue_cap_is_a_typed_compile_error() {
+    let text = include_str!("../../../scenarios/scenario1.json");
+    assert!(
+        text.contains("\"queue_cap\": 50"),
+        "fixture still sets queue_cap"
+    );
+
+    let spec = ScenarioSpec::parse(&text.replace("\"queue_cap\": 50", "\"queue_cap\": 0"))
+        .expect("a zero queue_cap is well-formed JSON for the parser");
+    match spec.compile() {
+        Err(ScenarioError::Field { path, message }) => {
+            assert_eq!(path, "queue_cap");
+            assert_eq!(message, "must be nonzero");
+        }
+        other => panic!("expected a queue_cap field error, got {other:?}"),
+    }
+    assert!(spec
+        .compile()
+        .unwrap_err()
+        .to_string()
+        .contains("queue_cap"));
+
+    let spec = ScenarioSpec::parse(&text.replacen(
+        "\"sweep\": {",
+        "\"sweep\": {\"queue_caps\": [25, 0], ",
+        1,
+    ))
+    .expect("a zero sweep entry is well-formed JSON for the parser");
+    match spec.compile() {
+        Err(ScenarioError::Field { path, .. }) => assert_eq!(path, "sweep.queue_caps[1]"),
+        other => panic!("expected a sweep.queue_caps field error, got {other:?}"),
+    }
 }

@@ -7,59 +7,39 @@
 //! RNG seed. This determinism is what makes the EXPERIMENTS.md numbers
 //! regenerable to the last digit.
 //!
-//! Two interchangeable backends implement that order (select one with
-//! [`Scheduler::with_kind`]; the equivalence is property-tested):
-//!
-//! * [`SchedKind::Heap`] — the reference implementation, a plain binary
-//!   heap ([`heap`]). O(log n) push/pop, no tuning knobs, obviously
-//!   correct.
-//! * [`SchedKind::Wheel`] — the default, a hierarchical calendar queue
-//!   ([`wheel`]): an array of fixed-width near-future buckets (width
-//!   tuned to the 802.11 slot time) rotated as time advances, plus an
-//!   overflow min-heap for far-future events that refills buckets on
-//!   rotation. Amortised O(1) push/pop under the short-horizon timer
-//!   churn of the DCF (Brown's calendar queue — the same structure ns-2,
-//!   the paper's own substrate, uses for its event list).
-//!
-//! Both backends also support **pop-time stale elision** through the
-//! [`Cancelable`] hook: events whose owner has moved on (the MAC's
-//! epoch-token pattern) are dropped inside the pop loop, in earliest-first
-//! order, without ever being dispatched. Elisions are counted
-//! ([`Scheduler::stale_drops`]) and, because both backends visit entries
-//! in exactly the same `(at, seq)` order, the elision decisions — and
-//! therefore every observable statistic — are identical across backends.
+//! The queue is a hierarchical calendar queue ([`wheel`]): an array of
+//! fixed-width near-future buckets (width tuned to the 802.11 slot time)
+//! rotated as time advances, plus an overflow min-heap for far-future
+//! events that refills buckets on rotation. Amortised O(1) push/pop under
+//! the short-horizon timer churn of the DCF (Brown's calendar queue — the
+//! same structure ns-2, the paper's own substrate, uses for its event
+//! list). A plain binary heap over the same `(at, seq)` order is kept as
+//! the test oracle the wheel is driven against in lock-step
+//! (`tests/sched_equiv.rs`).
 
 use crate::time::Time;
 use core::cmp::Ordering;
 
-pub mod heap;
-pub mod sharded;
 pub mod wheel;
 
-pub use sharded::ShardedScheduler;
-
-use heap::HeapQueue;
 use wheel::WheelQueue;
 
 /// Identifier of a scheduled event, unique within one [`Scheduler`].
 ///
-/// Components that need to abandon a pending timer have two tools: the
-/// *epoch token* pattern (the event carries an epoch, the owner bumps its
-/// epoch, and stale events are elided at pop time through the
-/// [`Cancelable`] hook) and keyed in-place rescheduling through a
-/// [`TimerHandle`] ([`Scheduler::reschedule`] / [`Scheduler::remove`]),
-/// which moves a pending entry instead of abandoning it — the entry never
-/// becomes churn for the pop loop at all. `EventId` exists so that
+/// Components that need to abandon or move a pending timer use keyed
+/// in-place rescheduling through a [`TimerHandle`]
+/// ([`Scheduler::reschedule`] / [`Scheduler::remove`]), which moves a
+/// pending entry instead of abandoning it. `EventId` exists so that
 /// callers can correlate trace output.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(pub u64);
 
 /// Handle to one *pending* entry, for keyed removal and in-place
 /// rescheduling. Returned by [`Scheduler::schedule_keyed`] and
-/// [`Scheduler::reschedule`]; dead the moment the entry is popped, elided
-/// or removed — the owner must drop its copy on those events (the engine
-/// keeps one slot per MAC timer and clears it from the pop loop and the
-/// [`Cancelable`] hook), so a held handle always refers to a live entry.
+/// [`Scheduler::reschedule`]; dead the moment the entry is popped or
+/// removed — the owner must drop its copy on those events (the engine
+/// keeps one slot per MAC timer and clears it from the pop loop), so a
+/// held handle always refers to a live entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle {
     at: Time,
@@ -78,67 +58,10 @@ impl TimerHandle {
     }
 }
 
-/// Which queue backend a [`Scheduler`] uses. Both produce identical pop
-/// sequences and statistics; they differ only in wall-clock cost.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedKind {
-    /// Reference binary heap (O(log n), no tuning).
-    Heap,
-    /// Calendar-queue wheel with an overflow heap (amortised O(1)).
-    #[default]
-    Wheel,
-}
-
-impl SchedKind {
-    /// Stable lower-case name (`"heap"` / `"wheel"`), the CLI vocabulary.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedKind::Heap => "heap",
-            SchedKind::Wheel => "wheel",
-        }
-    }
-}
-
-impl core::str::FromStr for SchedKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(SchedKind::Heap),
-            "wheel" => Ok(SchedKind::Wheel),
-            other => Err(format!("unknown scheduler kind '{other}' (heap|wheel)")),
-        }
-    }
-}
-
-/// Pop-time cancellation hook: the generalisation of the MAC's
-/// epoch-token pattern to the scheduler itself.
-///
-/// [`Scheduler::pop_before`] asks this hook about each entry it is about
-/// to deliver, earliest first; a `true` answer elides the entry inside
-/// the pop loop — it is never returned to the caller — and increments
-/// [`Scheduler::stale_drops`]. Any `FnMut(Time, &E) -> bool` closure is a
-/// `Cancelable`.
-///
-/// Determinism contract: the answer must depend only on simulation state,
-/// not on which backend is asking — both backends present entries in the
-/// identical `(at, seq)` order, so a well-behaved hook yields identical
-/// elision decisions on either.
-pub trait Cancelable<E> {
-    /// True if the entry scheduled for `at` is dead and must be elided.
-    fn is_stale(&mut self, at: Time, event: &E) -> bool;
-}
-
-impl<E, F: FnMut(Time, &E) -> bool> Cancelable<E> for F {
-    fn is_stale(&mut self, at: Time, event: &E) -> bool {
-        self(at, event)
-    }
-}
-
-/// Wheel-backend accounting (all zero for the heap backend). These are
-/// implementation detail gauges — deterministic for a given backend but
-/// *not* part of the backend-independent observable state, so snapshots
-/// carry them only in the perf block that determinism comparisons zero.
+/// Calendar-queue accounting. These are implementation detail gauges —
+/// deterministic, but *not* part of the observable simulation state, so
+/// snapshots carry them only in the perf block that determinism
+/// comparisons zero.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WheelStats {
     /// Cursor advances, in buckets (an idle jump over an empty wheel
@@ -150,9 +73,9 @@ pub struct WheelStats {
     pub bucket_high_water: u64,
 }
 
-/// One pending entry. Shared by both backends: the heap (and the wheel's
-/// overflow) order it through the inverted [`Ord`] below, the wheel's
-/// buckets keep ascending `(at, seq)` order directly.
+/// One pending entry. The wheel's overflow heap orders it through the
+/// inverted [`Ord`] below; its buckets keep ascending `(at, seq)` order
+/// directly.
 #[derive(Clone)]
 pub(crate) struct Entry<E> {
     pub(crate) at: Time,
@@ -188,11 +111,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-enum Backend<E> {
-    Heap(HeapQueue<E>),
-    Wheel(Box<WheelQueue<E>>),
-}
-
 /// A deterministic discrete-event queue.
 ///
 /// ```
@@ -209,15 +127,13 @@ enum Backend<E> {
 /// ```
 ///
 /// All bookkeeping every caller observes (`len`, `scheduled_total`,
-/// `depth_high_water`, `stale_drops`) lives here in the wrapper, *not* in
-/// the backends, so the two implementations cannot drift in how they
-/// account for it.
+/// `depth_high_water`) lives here in the wrapper; the queue only orders
+/// entries.
 pub struct Scheduler<E> {
-    backend: Backend<E>,
+    queue: WheelQueue<E>,
     next_seq: u64,
     len: usize,
     depth_high_water: usize,
-    stale_drops: u64,
     /// Entries created by [`Scheduler::reschedule`] — re-arms of a logical
     /// timer that already paid its fresh [`Scheduler::schedule`].
     rescheduled: u64,
@@ -233,34 +149,15 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler with the default backend
-    /// ([`SchedKind::Wheel`]).
+    /// Creates an empty scheduler.
     pub fn new() -> Self {
-        Self::with_kind(SchedKind::default())
-    }
-
-    /// Creates an empty scheduler with an explicit backend.
-    pub fn with_kind(kind: SchedKind) -> Self {
-        let backend = match kind {
-            SchedKind::Heap => Backend::Heap(HeapQueue::new()),
-            SchedKind::Wheel => Backend::Wheel(Box::new(WheelQueue::new())),
-        };
         Scheduler {
-            backend,
+            queue: WheelQueue::new(),
             next_seq: 0,
             len: 0,
             depth_high_water: 0,
-            stale_drops: 0,
             rescheduled: 0,
             removed: 0,
-        }
-    }
-
-    /// Which backend this scheduler runs on.
-    pub fn kind(&self) -> SchedKind {
-        match self.backend {
-            Backend::Heap(_) => SchedKind::Heap,
-            Backend::Wheel(_) => SchedKind::Wheel,
         }
     }
 
@@ -273,14 +170,9 @@ impl<E> Scheduler<E> {
     pub fn schedule(&mut self, at: Time, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Wheel(w) => w.push(entry),
-        }
+        self.queue.push(Entry { at, seq, event });
         // The pending count only grows on push, so sampling the high water
-        // here captures the true peak — and doing it in the wrapper keeps
-        // the accounting identical across backends by construction.
+        // here captures the true peak.
         self.len += 1;
         self.depth_high_water = self.depth_high_water.max(self.len);
         EventId(seq)
@@ -301,16 +193,14 @@ impl<E> Scheduler<E> {
     ///
     /// The fresh seq is deliberate: it is exactly the `(at, seq)` key a
     /// plain [`Scheduler::schedule`] call would assign at this moment, so
-    /// converting a schedule-new-then-elide-old caller to reschedule
-    /// leaves the pop order — and therefore the whole simulation —
-    /// bit-identical. Only the churn accounting moves: the entry counts in
-    /// [`Scheduler::rescheduled_total`], not [`Scheduler::scheduled_total`],
-    /// and the abandoned predecessor never sits in the queue waiting to be
-    /// elided.
+    /// converting a remove-then-schedule caller to reschedule leaves the
+    /// pop order — and therefore the whole simulation — bit-identical.
+    /// Only the churn accounting moves: the entry counts in
+    /// [`Scheduler::rescheduled_total`], not [`Scheduler::scheduled_total`].
     #[inline]
     pub fn reschedule(&mut self, prev: Option<TimerHandle>, at: Time, event: E) -> TimerHandle {
         if let Some(h) = prev {
-            let found = self.remove_entry(h);
+            let found = self.queue.remove(h.at, h.seq);
             debug_assert!(found, "reschedule of a dead handle {h:?}");
             if found {
                 self.len -= 1;
@@ -319,11 +209,7 @@ impl<E> Scheduler<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.rescheduled += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Wheel(w) => w.push(entry),
-        }
+        self.queue.push(Entry { at, seq, event });
         self.len += 1;
         self.depth_high_water = self.depth_high_water.max(self.len);
         TimerHandle { at, seq }
@@ -335,7 +221,7 @@ impl<E> Scheduler<E> {
     /// `false` means the caller's handle was dead, which the handle
     /// discipline (see [`TimerHandle`]) rules out.
     pub fn remove(&mut self, h: TimerHandle) -> bool {
-        if self.remove_entry(h) {
+        if self.queue.remove(h.at, h.seq) {
             self.len -= 1;
             self.removed += 1;
             true
@@ -344,24 +230,12 @@ impl<E> Scheduler<E> {
         }
     }
 
-    fn remove_entry(&mut self, h: TimerHandle) -> bool {
-        match &mut self.backend {
-            Backend::Heap(q) => q.remove(h.at, h.seq),
-            Backend::Wheel(q) => q.remove(h.at, h.seq),
-        }
-    }
-
-    /// The instant of the earliest pending event, if any (stale entries
-    /// included — staleness is only decided at pop time).
+    /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek_time(),
-            Backend::Wheel(w) => w.peek_time(),
-        }
+        self.queue.peek_time()
     }
 
-    /// Number of pending events (stale entries included until they are
-    /// elided by a pop).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -398,19 +272,10 @@ impl<E> Scheduler<E> {
         self.depth_high_water
     }
 
-    /// Entries elided at pop time by the [`Cancelable`] hook: heap/bucket
-    /// slots the simulation paid for but never dispatched.
-    pub fn stale_drops(&self) -> u64 {
-        self.stale_drops
-    }
-
-    /// Wheel-backend gauges (bucket rotations, overflow refills, bucket
-    /// high water); all zero on the heap backend.
+    /// Calendar-queue gauges (bucket rotations, overflow refills, bucket
+    /// high water).
     pub fn wheel_stats(&self) -> WheelStats {
-        match &self.backend {
-            Backend::Heap(_) => WheelStats::default(),
-            Backend::Wheel(w) => w.stats(),
-        }
+        self.queue.stats()
     }
 }
 
@@ -421,37 +286,16 @@ impl<E> Scheduler<E> {
 impl<E: Clone> Scheduler<E> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.pop_before(Time::MAX, |_: Time, _: &E| false)
+        self.pop_before(Time::MAX)
     }
 
-    /// Removes and returns the earliest *live* event scheduled at or
-    /// before `until`, eliding stale entries on the way.
-    ///
-    /// Entries are visited earliest-first. Each one at or before `until`
-    /// is either returned (live) or dropped and counted in
-    /// [`Scheduler::stale_drops`] (the hook said stale) — stale entries
-    /// beyond `until` are left untouched, so both backends always make
-    /// the same elision decisions regardless of how a run is sliced into
-    /// `pop_before` horizons. Returns `None` when no event at or before
-    /// `until` remains.
-    pub fn pop_before<C: Cancelable<E>>(
-        &mut self,
-        until: Time,
-        mut cancel: C,
-    ) -> Option<(Time, E)> {
-        // The elision loop runs *inside* the backend (the wheel drains a
-        // stale run in place, one bucket positioning per bucket rather
-        // than per entry); the backends only report how many entries they
-        // consumed as stale, and the `len` / `stale_drops` bookkeeping
-        // every caller observes still happens here, identically for both.
-        let mut skipped = 0u64;
-        let popped = match &mut self.backend {
-            Backend::Heap(h) => h.pop_live_before(until, &mut cancel, &mut skipped),
-            Backend::Wheel(w) => w.pop_live_before(until, &mut cancel, &mut skipped),
-        };
-        self.stale_drops += skipped;
-        self.len -= skipped as usize + popped.is_some() as usize;
-        popped.map(|entry| (entry.at, entry.event))
+    /// Removes and returns the earliest event scheduled at or before
+    /// `until`; `None` when no such event remains (later events stay
+    /// queued).
+    pub fn pop_before(&mut self, until: Time) -> Option<(Time, E)> {
+        let entry = self.queue.pop_before(until)?;
+        self.len -= 1;
+        Some((entry.at, entry.event))
     }
 }
 
@@ -460,318 +304,214 @@ mod tests {
     use super::*;
     use crate::time::Duration;
 
-    /// Every unit test runs against both backends: the scheduler's
-    /// contract is backend-independent by design.
-    fn for_both(test: impl Fn(Scheduler<u64>)) {
-        test(Scheduler::with_kind(SchedKind::Heap));
-        test(Scheduler::with_kind(SchedKind::Wheel));
-    }
-
-    #[test]
-    fn default_kind_is_wheel() {
-        let s: Scheduler<()> = Scheduler::new();
-        assert_eq!(s.kind(), SchedKind::Wheel);
-        assert_eq!(s.wheel_stats(), WheelStats::default());
-    }
-
-    #[test]
-    fn kind_parses_and_names_round_trip() {
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            assert_eq!(kind.name().parse::<SchedKind>().unwrap(), kind);
-        }
-        assert!("calendar".parse::<SchedKind>().is_err());
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for_both(|mut s| {
-            for us in [50u64, 10, 30, 20, 40] {
-                s.schedule(Time::from_micros(us), us);
-            }
-            let mut out = Vec::new();
-            while let Some((t, e)) = s.pop() {
-                assert_eq!(t.as_micros(), e);
-                out.push(e);
-            }
-            assert_eq!(out, vec![10, 20, 30, 40, 50]);
-        });
+        let mut s = Scheduler::new();
+        for us in [50u64, 10, 30, 20, 40] {
+            s.schedule(Time::from_micros(us), us);
+        }
+        let mut out = Vec::new();
+        while let Some((t, e)) = s.pop() {
+            assert_eq!(t.as_micros(), e);
+            out.push(e);
+        }
+        assert_eq!(out, vec![10, 20, 30, 40, 50]);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
-        for_both(|mut s| {
-            let t = Time::from_micros(5);
-            for i in 0..100 {
-                s.schedule(t, i);
-            }
-            for i in 0..100 {
-                assert_eq!(s.pop(), Some((t, i)));
-            }
-        });
+        let mut s = Scheduler::new();
+        let t = Time::from_micros(5);
+        for i in 0..100 {
+            s.schedule(t, i);
+        }
+        for i in 0..100 {
+            assert_eq!(s.pop(), Some((t, i)));
+        }
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for_both(|mut s| {
-            s.schedule(Time::from_micros(10), 1);
-            assert_eq!(s.pop(), Some((Time::from_micros(10), 1)));
-            s.schedule(Time::from_micros(30), 3);
-            s.schedule(Time::from_micros(20), 2);
-            assert_eq!(s.peek_time(), Some(Time::from_micros(20)));
-            assert_eq!(s.pop().unwrap().1, 2);
-            assert_eq!(s.pop().unwrap().1, 3);
-            assert!(s.is_empty());
-        });
+        let mut s = Scheduler::new();
+        s.schedule(Time::from_micros(10), 1);
+        assert_eq!(s.pop(), Some((Time::from_micros(10), 1)));
+        s.schedule(Time::from_micros(30), 3);
+        s.schedule(Time::from_micros(20), 2);
+        assert_eq!(s.peek_time(), Some(Time::from_micros(20)));
+        assert_eq!(s.pop().unwrap().1, 2);
+        assert_eq!(s.pop().unwrap().1, 3);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn far_future_events_survive_the_overflow_path() {
         // Beyond the wheel horizon (65.536 ms) by orders of magnitude:
         // these take the overflow-heap path and come back on rotation.
-        for_both(|mut s| {
-            s.schedule(Time::from_secs(2), 2);
-            s.schedule(Time::from_micros(7), 0);
-            s.schedule(Time::from_secs(1), 1);
-            s.schedule(Time::from_secs(3), 3);
-            for want in 0..4 {
-                assert_eq!(s.pop().unwrap().1, want);
-            }
-            assert_eq!(s.pop(), None);
-        });
+        let mut s = Scheduler::new();
+        s.schedule(Time::from_secs(2), 2);
+        s.schedule(Time::from_micros(7), 0);
+        s.schedule(Time::from_secs(1), 1);
+        s.schedule(Time::from_secs(3), 3);
+        for want in 0..4 {
+            assert_eq!(s.pop().unwrap().1, want);
+        }
+        assert_eq!(s.pop(), None);
     }
 
     #[test]
     fn len_and_counters() {
-        for_both(|mut s| {
-            assert!(s.is_empty());
-            let base = Time::ZERO;
-            for i in 0..10u64 {
-                s.schedule(base + Duration::from_micros(i), i);
-            }
-            assert_eq!(s.len(), 10);
-            assert_eq!(s.scheduled_total(), 10);
-            s.pop();
-            assert_eq!(s.len(), 9);
-            assert_eq!(s.scheduled_total(), 10);
-        });
+        let mut s = Scheduler::new();
+        assert!(s.is_empty());
+        let base = Time::ZERO;
+        for i in 0..10u64 {
+            s.schedule(base + Duration::from_micros(i), i);
+        }
+        assert_eq!(s.len(), 10);
+        assert_eq!(s.scheduled_total(), 10);
+        s.pop();
+        assert_eq!(s.len(), 9);
+        assert_eq!(s.scheduled_total(), 10);
     }
 
     #[test]
     fn depth_high_water_tracks_peak_not_current() {
-        for_both(|mut s| {
-            assert_eq!(s.depth_high_water(), 0);
-            for i in 0..4 {
-                s.schedule(Time::from_micros(i), i);
-            }
-            s.pop();
-            s.pop();
-            assert_eq!(s.len(), 2);
-            assert_eq!(s.depth_high_water(), 4);
-            // Refilling below the old peak leaves the high-water untouched.
-            s.schedule(Time::from_micros(9), 9);
-            assert_eq!(s.depth_high_water(), 4);
-            // Exceeding it moves it.
-            s.schedule(Time::from_micros(10), 10);
-            s.schedule(Time::from_micros(11), 11);
-            assert_eq!(s.depth_high_water(), 5);
-        });
-    }
-
-    #[test]
-    fn depth_high_water_counts_elided_entries_identically() {
-        // The high water is sampled on push in the wrapper, so entries
-        // later elided as stale still contribute to the peak — on both
-        // backends, identically.
-        let run = |kind| {
-            let mut s: Scheduler<u64> = Scheduler::with_kind(kind);
-            for i in 0..8u64 {
-                s.schedule(Time::from_micros(10 + i), i);
-            }
-            // Everything odd is stale.
-            while s
-                .pop_before(Time::MAX, |_: Time, e: &u64| e % 2 == 1)
-                .is_some()
-            {}
-            (s.depth_high_water(), s.stale_drops(), s.len())
-        };
-        let heap = run(SchedKind::Heap);
-        let wheel = run(SchedKind::Wheel);
-        assert_eq!(heap, wheel);
-        assert_eq!(heap, (8, 4, 0));
+        let mut s = Scheduler::new();
+        assert_eq!(s.depth_high_water(), 0);
+        for i in 0..4 {
+            s.schedule(Time::from_micros(i), i);
+        }
+        s.pop();
+        s.pop();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.depth_high_water(), 4);
+        // Refilling below the old peak leaves the high-water untouched.
+        s.schedule(Time::from_micros(9), 9);
+        assert_eq!(s.depth_high_water(), 4);
+        // Exceeding it moves it.
+        s.schedule(Time::from_micros(10), 10);
+        s.schedule(Time::from_micros(11), 11);
+        assert_eq!(s.depth_high_water(), 5);
     }
 
     #[test]
     fn pop_before_respects_the_horizon() {
-        for_both(|mut s| {
-            s.schedule(Time::from_micros(10), 1);
-            s.schedule(Time::from_micros(30), 3);
-            let none_stale = |_: Time, _: &u64| false;
-            assert_eq!(
-                s.pop_before(Time::from_micros(20), none_stale),
-                Some((Time::from_micros(10), 1))
-            );
-            assert_eq!(s.pop_before(Time::from_micros(20), none_stale), None);
-            assert_eq!(s.len(), 1, "the later event must stay queued");
-            assert_eq!(
-                s.pop_before(Time::from_micros(30), none_stale),
-                Some((Time::from_micros(30), 3))
-            );
-        });
-    }
-
-    #[test]
-    fn stale_entries_beyond_the_horizon_are_left_alone() {
-        for_both(|mut s| {
-            s.schedule(Time::from_micros(50), 5);
-            let all_stale = |_: Time, _: &u64| true;
-            assert_eq!(s.pop_before(Time::from_micros(10), all_stale), None);
-            assert_eq!(s.stale_drops(), 0, "not visited, not elided");
-            assert_eq!(s.len(), 1);
-            assert_eq!(s.pop_before(Time::from_micros(50), all_stale), None);
-            assert_eq!(s.stale_drops(), 1);
-            assert!(s.is_empty());
-        });
-    }
-
-    #[test]
-    fn elision_skips_stale_runs_in_one_pop() {
-        for_both(|mut s| {
-            for i in 0..6u64 {
-                s.schedule(Time::from_micros(i), i);
-            }
-            // Only the last event is live: one pop call elides the rest.
-            let got = s.pop_before(Time::MAX, |_: Time, e: &u64| *e != 5);
-            assert_eq!(got, Some((Time::from_micros(5), 5)));
-            assert_eq!(s.stale_drops(), 5);
-            assert!(s.is_empty());
-        });
+        let mut s = Scheduler::new();
+        s.schedule(Time::from_micros(10), 1);
+        s.schedule(Time::from_micros(30), 3);
+        assert_eq!(
+            s.pop_before(Time::from_micros(20)),
+            Some((Time::from_micros(10), 1))
+        );
+        assert_eq!(s.pop_before(Time::from_micros(20)), None);
+        assert_eq!(s.len(), 1, "the later event must stay queued");
+        assert_eq!(
+            s.pop_before(Time::from_micros(30)),
+            Some((Time::from_micros(30), 3))
+        );
     }
 
     #[test]
     fn event_ids_are_unique_and_monotone() {
-        for_both(|mut s| {
-            let a = s.schedule(Time::from_micros(1), 0);
-            let b = s.schedule(Time::from_micros(1), 0);
-            assert!(b > a);
-        });
+        let mut s = Scheduler::new();
+        let a = s.schedule(Time::from_micros(1), 0);
+        let b = s.schedule(Time::from_micros(1), 0);
+        assert!(b > a);
     }
 
     #[test]
     fn reschedule_moves_an_entry_in_place() {
-        for_both(|mut s| {
-            let h = s.schedule_keyed(Time::from_micros(10), 1);
-            s.schedule(Time::from_micros(20), 2);
-            assert_eq!(s.len(), 2);
-            // Move the first entry past the second: it must pop second,
-            // and under the seq a fresh schedule would have received.
-            let h2 = s.reschedule(Some(h), Time::from_micros(30), 3);
-            assert_eq!(h2.id(), EventId(2));
-            assert_eq!(h2.at(), Time::from_micros(30));
-            assert_eq!(s.len(), 2);
-            assert_eq!(s.scheduled_total(), 2, "re-arm is not a fresh schedule");
-            assert_eq!(s.rescheduled_total(), 1);
-            assert_eq!(s.pop(), Some((Time::from_micros(20), 2)));
-            assert_eq!(s.pop(), Some((Time::from_micros(30), 3)));
-            assert_eq!(s.pop(), None);
-            assert_eq!(s.stale_drops(), 0, "nothing was abandoned");
-        });
+        let mut s = Scheduler::new();
+        let h = s.schedule_keyed(Time::from_micros(10), 1);
+        s.schedule(Time::from_micros(20), 2);
+        assert_eq!(s.len(), 2);
+        // Move the first entry past the second: it must pop second,
+        // and under the seq a fresh schedule would have received.
+        let h2 = s.reschedule(Some(h), Time::from_micros(30), 3);
+        assert_eq!(h2.id(), EventId(2));
+        assert_eq!(h2.at(), Time::from_micros(30));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.scheduled_total(), 2, "re-arm is not a fresh schedule");
+        assert_eq!(s.rescheduled_total(), 1);
+        assert_eq!(s.pop(), Some((Time::from_micros(20), 2)));
+        assert_eq!(s.pop(), Some((Time::from_micros(30), 3)));
+        assert_eq!(s.pop(), None);
+        assert_eq!(s.removed_total(), 0, "a move is not a removal");
     }
 
     #[test]
     fn remove_then_reschedule_none_revives_a_parked_timer() {
-        for_both(|mut s| {
-            let h = s.schedule_keyed(Time::from_micros(10), 1);
-            s.schedule(Time::from_micros(15), 2);
-            assert!(s.remove(h));
-            assert_eq!(s.len(), 1);
-            assert_eq!(s.removed_total(), 1);
-            assert_eq!(s.pop(), Some((Time::from_micros(15), 2)));
-            let h2 = s.reschedule(None, Time::from_micros(40), 4);
-            assert_eq!(h2.id(), EventId(2));
-            assert_eq!(s.pop(), Some((Time::from_micros(40), 4)));
-            assert!(s.is_empty());
-            assert_eq!(s.scheduled_total(), 2);
-            assert_eq!(s.rescheduled_total(), 1);
-        });
+        let mut s = Scheduler::new();
+        let h = s.schedule_keyed(Time::from_micros(10), 1);
+        s.schedule(Time::from_micros(15), 2);
+        assert!(s.remove(h));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.removed_total(), 1);
+        assert_eq!(s.pop(), Some((Time::from_micros(15), 2)));
+        let h2 = s.reschedule(None, Time::from_micros(40), 4);
+        assert_eq!(h2.id(), EventId(2));
+        assert_eq!(s.pop(), Some((Time::from_micros(40), 4)));
+        assert!(s.is_empty());
+        assert_eq!(s.scheduled_total(), 2);
+        assert_eq!(s.rescheduled_total(), 1);
     }
 
     #[test]
     fn remove_finds_entries_in_every_region() {
         // Near-future bucket, far-future overflow, and the behind-base
         // clamp case all resolve through the same keyed removal.
-        for_both(|mut s| {
-            // Far future (wheel overflow).
-            let far = s.schedule_keyed(Time::from_secs(2), 9);
-            assert!(s.remove(far));
-            // Advance the wheel deep into a later lap, then schedule
-            // behind its base (the clamp path).
-            s.schedule(Time::from_secs(1), 1);
-            assert_eq!(s.pop(), Some((Time::from_secs(1), 1)));
-            let behind = s.schedule_keyed(Time::from_micros(7), 2);
-            let near = s.schedule_keyed(Time::from_secs(1) + Duration::from_micros(50), 3);
-            assert!(s.remove(behind));
-            assert!(s.remove(near));
-            assert!(s.is_empty());
-            assert_eq!(s.peek_time(), None);
-            assert_eq!(s.pop(), None);
-            assert_eq!(s.removed_total(), 3);
-        });
+        let mut s = Scheduler::new();
+        // Far future (wheel overflow).
+        let far = s.schedule_keyed(Time::from_secs(2), 9);
+        assert!(s.remove(far));
+        // Advance the wheel deep into a later lap, then schedule
+        // behind its base (the clamp path).
+        s.schedule(Time::from_secs(1), 1);
+        assert_eq!(s.pop(), Some((Time::from_secs(1), 1)));
+        let behind = s.schedule_keyed(Time::from_micros(7), 2);
+        let near = s.schedule_keyed(Time::from_secs(1) + Duration::from_micros(50), 3);
+        assert!(s.remove(behind));
+        assert!(s.remove(near));
+        assert!(s.is_empty());
+        assert_eq!(s.peek_time(), None);
+        assert_eq!(s.pop(), None);
+        assert_eq!(s.removed_total(), 3);
     }
 
     #[test]
     fn removed_entries_never_surface_in_peek_or_pop() {
-        for_both(|mut s| {
-            let doomed = s.schedule_keyed(Time::from_micros(5), 0);
-            s.schedule(Time::from_micros(9), 1);
-            assert_eq!(s.peek_time(), Some(Time::from_micros(5)));
-            assert!(s.remove(doomed));
-            assert_eq!(s.peek_time(), Some(Time::from_micros(9)));
-            assert_eq!(s.pop(), Some((Time::from_micros(9), 1)));
-        });
+        let mut s = Scheduler::new();
+        let doomed = s.schedule_keyed(Time::from_micros(5), 0);
+        s.schedule(Time::from_micros(9), 1);
+        assert_eq!(s.peek_time(), Some(Time::from_micros(5)));
+        assert!(s.remove(doomed));
+        assert_eq!(s.peek_time(), Some(Time::from_micros(9)));
+        assert_eq!(s.pop(), Some((Time::from_micros(9), 1)));
     }
 
     #[test]
-    fn reschedule_storm_matches_fresh_schedule_order() {
+    fn reschedule_storm_matches_remove_then_schedule_order() {
         // A timer moved many times must dispatch exactly where a chain of
-        // fresh schedule + elide-the-old would have put it.
-        let run_keyed = |kind| {
-            let mut s: Scheduler<u64> = Scheduler::with_kind(kind);
-            let mut h = s.schedule_keyed(Time::from_micros(100), 0);
-            for i in 1..50u64 {
-                s.schedule(Time::from_micros(i * 3), 1000 + i);
-                h = s.reschedule(Some(h), Time::from_micros(100 + i), i);
-            }
-            let mut out = Vec::new();
-            while let Some((t, e)) = s.pop() {
-                out.push((t, e));
-            }
-            out
-        };
-        let run_epoch = |kind| {
-            let mut s: Scheduler<u64> = Scheduler::with_kind(kind);
-            let mut live = 0u64;
-            s.schedule(Time::from_micros(100), 0);
-            for i in 1..50u64 {
-                s.schedule(Time::from_micros(i * 3), 1000 + i);
-                live = i;
-                s.schedule(Time::from_micros(100 + i), i);
-            }
-            let mut out = Vec::new();
-            while let Some((t, e)) =
-                s.pop_before(Time::MAX, |_: Time, e: &u64| *e < 1000 && *e != live)
-            {
-                out.push((t, e));
-            }
-            out
-        };
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            assert_eq!(run_keyed(kind), run_epoch(kind));
+        // remove-the-old + fresh schedule would have put it.
+        let drain = |s: &mut Scheduler<u64>| std::iter::from_fn(|| s.pop()).collect::<Vec<_>>();
+        let mut keyed = Scheduler::new();
+        let mut h = keyed.schedule_keyed(Time::from_micros(100), 0);
+        for i in 1..50u64 {
+            keyed.schedule(Time::from_micros(i * 3), 1000 + i);
+            h = keyed.reschedule(Some(h), Time::from_micros(100 + i), i);
         }
+        let mut fresh = Scheduler::new();
+        let mut h = fresh.schedule_keyed(Time::from_micros(100), 0);
+        for i in 1..50u64 {
+            fresh.schedule(Time::from_micros(i * 3), 1000 + i);
+            assert!(fresh.remove(h));
+            h = fresh.schedule_keyed(Time::from_micros(100 + i), i);
+        }
+        assert_eq!(drain(&mut keyed), drain(&mut fresh));
     }
 
     #[test]
     fn wheel_reports_rotation_stats() {
-        let mut s: Scheduler<u64> = Scheduler::with_kind(SchedKind::Wheel);
+        let mut s = Scheduler::new();
         // One near event, one far (overflow) event.
         s.schedule(Time::from_micros(100), 0);
         s.schedule(Time::from_secs(1), 1);

@@ -147,6 +147,8 @@ pub enum DropCause {
     Unroutable,
     /// A MAC timer from a superseded transmission epoch was discarded
     /// (an event drop, not a packet drop; `seq` carries the stale epoch).
+    /// The engine no longer emits it — invalidated timers are removed
+    /// before they pop — but streams recorded with it still parse.
     StaleEpoch,
 }
 
