@@ -3,15 +3,16 @@
 //! One module per artifact of the paper's evaluation (see DESIGN.md §5 for
 //! the experiment index). Every experiment is a plain function taking a
 //! [`Scale`] and returning a [`report::Report`], so that the same code
-//! backs three frontends:
+//! backs every scale:
 //!
 //! * `cargo run --release -p ezflow-bench --bin experiments -- all`
 //!   — full-length reproductions, printed as paper-vs-measured tables and
 //!   ASCII figures (the source of EXPERIMENTS.md);
-//! * `cargo bench -p ezflow-bench --bench paper_experiments`
-//!   — scaled-down versions of every experiment, for CI-sized validation;
-//! * the Criterion benches (`sim_speed`, `mechanism`) — raw performance
-//!   of the simulator and of the BOE/CAA hot paths.
+//! * `experiments -- --quick all` — scaled-down versions of every
+//!   experiment, for CI-sized validation.
+//!
+//! Simulator speed is measured by `perfbench/` at the repository root;
+//! `tests/golden.rs` pins the hot path's behaviour.
 
 #![forbid(unsafe_code)]
 

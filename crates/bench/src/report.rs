@@ -51,10 +51,11 @@ impl Scale {
         }
     }
 
-    /// Quick runs for `cargo bench` / CI. Half the paper's durations: the
-    /// CAA needs a few hundred simulated seconds to converge (50-sample
-    /// rounds at tens of packets per second), so cutting deeper than this
-    /// turns adaptation transients into spurious check failures.
+    /// Quick runs (`experiments --quick`, CI and the hot-path golden).
+    /// Half the paper's durations: the CAA needs a few hundred simulated
+    /// seconds to converge (50-sample rounds at tens of packets per
+    /// second), so cutting deeper than this turns adaptation transients
+    /// into spurious check failures.
     pub fn quick() -> Self {
         Scale {
             time: 0.5,

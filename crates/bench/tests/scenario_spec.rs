@@ -131,4 +131,50 @@ fn malformed_specs_fail_with_pointed_messages() {
         err.contains("topology.kind") && err.contains("donut"),
         "{err}"
     );
+
+    // Out-of-range values: each edit to a committed spec must fail
+    // parse or compile (the `--spec` path) with an error naming its field.
+    let rejected = |text: &str| match ScenarioSpec::parse(text).and_then(|s| s.compile()) {
+        Ok(_) => panic!("spec compiled:\n{text}"),
+        Err(e) => e.to_string(),
+    };
+    let edit = |file: &str, from: &str, to: &str| {
+        let text = std::fs::read_to_string(scenario_path(file)).unwrap();
+        assert!(text.contains(from), "{file} no longer contains {from}");
+        text.replacen(from, to, 1)
+    };
+    let cases = [
+        // 2^32 + 1000 would wrap to 1000 bytes in a u32.
+        (
+            edit(
+                "scenario1.json",
+                "\"payload_bytes\": 1000",
+                "\"payload_bytes\": 4294968296",
+            ),
+            "flows[0].payload_bytes",
+        ),
+        // Larger than the 802.11 maximum MSDU.
+        (
+            edit(
+                "scenario1.json",
+                "\"payload_bytes\": 1000",
+                "\"payload_bytes\": 100000",
+            ),
+            "flows[0].payload_bytes",
+        ),
+        (
+            edit("mesh1k.json", "\"width\": 4000", "\"width\": 0"),
+            "topology.width",
+        ),
+        (
+            r#"{"name": "x", "duration_secs": 1,
+                "topology": {"kind": "chain", "hops": 4, "spacing": 0}}"#
+                .to_string(),
+            "topology.spacing",
+        ),
+    ];
+    for (text, path) in cases {
+        let err = rejected(&text);
+        assert!(err.contains(path), "expected {path} in: {err}");
+    }
 }

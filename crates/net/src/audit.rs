@@ -22,8 +22,8 @@
 //!   reads the successor's occupancy mirror — when the ledger is armed;
 //! * with `audit_cap = 0` the only cost is one branch per probe site,
 //!   and the snapshot omits its `controller` section entirely, so
-//!   audit-off JSON stays byte-identical (gated in `hotpath_bench
-//!   --check` alongside the telemetry gate).
+//!   audit-off JSON stays byte-identical (pinned by the all-probes leg
+//!   of `crates/bench/tests/golden.rs`).
 //!
 //! ## Ground truth
 //!

@@ -1026,7 +1026,7 @@ impl Network {
     }
 
     /// Scratch-buffer reuses in the channel — allocations the hot path
-    /// avoided (see the `hotpath_bench` gate).
+    /// avoided (perfbench reports it as `net.buffer_reuses`).
     pub fn buffer_reuses(&self) -> u64 {
         self.channel.buffer_reuses()
     }

@@ -53,6 +53,9 @@ const PLACEMENT_STREAM: u64 = 0x746f_706f; // "topo"
 /// Stream tag for traffic-source selection.
 const SOURCE_STREAM: u64 = 0x7472_6166; // "traf"
 
+/// Largest payload a flow may carry, bytes: the 802.11 maximum MSDU.
+const MAX_MSDU: u64 = 2304;
+
 /// Why a scenario document was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioError {
@@ -353,7 +356,7 @@ impl ScenarioSpec {
             return Err(field("duration_secs", "must be a positive number"));
         }
         let seed = opt_u64(v, "", "seed", 1)?;
-        let queue_cap = opt_u64(v, "", "queue_cap", 50)? as usize;
+        let queue_cap = narrow("queue_cap", opt_u64(v, "", "queue_cap", 50)?)?;
         let topology = parse_topology(req(v, "", "topology")?)?;
         let duration = secs_to_time("duration_secs", duration_secs)?;
 
@@ -463,6 +466,13 @@ impl ScenarioSpec {
         if let Some(i) = self.sweep.queue_caps.iter().position(|&cap| cap == 0) {
             return Err(field(&format!("sweep.queue_caps[{i}]"), "must be nonzero"));
         }
+        if let Some(mix) = &self.traffic {
+            at_most::<u32>("traffic.payload_bytes", mix.payload_bytes.into(), MAX_MSDU)?;
+        }
+        for (i, f) in self.flows.iter().enumerate() {
+            let path = format!("flows[{i}].payload_bytes");
+            at_most::<u32>(&path, f.payload_bytes.into(), MAX_MSDU)?;
+        }
         let positions = self.build_positions()?;
         let flows = self.build_flows(&positions, until)?;
         let topology = Topology {
@@ -488,6 +498,7 @@ impl ScenarioSpec {
                 if *hops == 0 {
                     return Err(field("topology.hops", "must be at least 1"));
                 }
+                positive("topology.spacing", *spacing)?;
                 Ok(ezflow_phy::geom::line_positions(hops + 1, *spacing))
             }
             TopologySpec::Grid {
@@ -501,6 +512,7 @@ impl ScenarioSpec {
                         "grid needs rows >= 1 and cols >= 2 (each row carries a flow)",
                     ));
                 }
+                positive("topology.spacing", *spacing)?;
                 let mut positions = Vec::with_capacity(rows * cols);
                 for r in 0..*rows {
                     for c in 0..*cols {
@@ -522,6 +534,8 @@ impl ScenarioSpec {
                         "need at least one gateway and at least one non-gateway node",
                     ));
                 }
+                positive("topology.width", *width)?;
+                positive("topology.height", *height)?;
                 // Gateways sit on a deterministic sub-lattice (cell
                 // centers), spreading the drains across the area; the
                 // rest land uniformly from the placement stream.
@@ -596,7 +610,7 @@ impl ScenarioSpec {
         if mix.mix.is_empty() {
             return Err(field("traffic.mix", "needs at least one transport entry"));
         }
-        let total_weight: u32 = mix.mix.iter().map(|m| m.weight).sum();
+        let total_weight: u64 = mix.mix.iter().map(|m| u64::from(m.weight)).sum();
         if total_weight == 0 {
             return Err(field("traffic.mix", "weights must not all be zero"));
         }
@@ -639,15 +653,15 @@ impl ScenarioSpec {
             let path = routes.path_from(src).expect("checked connected above");
             // Transport kinds cycle by weight: flow i takes the entry
             // whose cumulative weight bucket contains i mod total.
-            let mut slot = (i as u32) % total_weight;
+            let mut slot = i as u64 % total_weight;
             let entry = mix
                 .mix
                 .iter()
                 .find(|m| {
-                    if slot < m.weight {
+                    if slot < u64::from(m.weight) {
                         true
                     } else {
-                        slot -= m.weight;
+                        slot -= u64::from(m.weight);
                         false
                     }
                 })
@@ -787,6 +801,33 @@ fn opt_u64(v: &JsonValue, path: &str, key: &str, default: u64) -> Result<u64, Sc
     }
 }
 
+/// Narrows a parsed integer to the width its field is stored in. Every
+/// narrowing goes through here, so an out-of-range value is a pointed
+/// error instead of a silent wrap. Counts and node ids are held to the
+/// `u32` range as well: flow ids are `u32`, and no network with more
+/// nodes than that can be built.
+fn narrow<T: TryFrom<u64>>(path: &str, n: u64) -> Result<T, ScenarioError> {
+    at_most(path, n, u64::from(u32::MAX))
+}
+
+/// `n` narrowed to `T` if it is at most `max`, else a field error that
+/// states the bound.
+fn at_most<T: TryFrom<u64>>(path: &str, n: u64, max: u64) -> Result<T, ScenarioError> {
+    T::try_from(n)
+        .ok()
+        .filter(|_| n <= max)
+        .ok_or_else(|| field(path, &format!("must be at most {max}")))
+}
+
+/// A length in meters that must be a positive, finite number.
+fn positive(path: &str, meters: f64) -> Result<(), ScenarioError> {
+    if meters.is_finite() && meters > 0.0 {
+        Ok(())
+    } else {
+        Err(field(path, "must be a positive number of meters"))
+    }
+}
+
 fn opt_f64(v: &JsonValue, path: &str, key: &str, default: f64) -> Result<f64, ScenarioError> {
     match v.get(key) {
         None => Ok(default),
@@ -854,19 +895,19 @@ fn parse_topology(v: &JsonValue) -> Result<TopologySpec, ScenarioError> {
             Ok(TopologySpec::Explicit { positions })
         }
         "chain" => Ok(TopologySpec::Chain {
-            hops: req_u64(v, p, "hops")? as usize,
+            hops: narrow("topology.hops", req_u64(v, p, "hops")?)?,
             spacing: opt_f64(v, p, "spacing", crate::topo::SPACING)?,
         }),
         "grid" => Ok(TopologySpec::Grid {
-            rows: req_u64(v, p, "rows")? as usize,
-            cols: req_u64(v, p, "cols")? as usize,
+            rows: narrow("topology.rows", req_u64(v, p, "rows")?)?,
+            cols: narrow("topology.cols", req_u64(v, p, "cols")?)?,
             spacing: req_f64(v, p, "spacing")?,
         }),
         "random_geometric" => Ok(TopologySpec::RandomGeometric {
-            nodes: req_u64(v, p, "nodes")? as usize,
+            nodes: narrow("topology.nodes", req_u64(v, p, "nodes")?)?,
             width: req_f64(v, p, "width")?,
             height: req_f64(v, p, "height")?,
-            gateways: req_u64(v, p, "gateways")? as usize,
+            gateways: narrow("topology.gateways", req_u64(v, p, "gateways")?)?,
             seed: req_u64(v, p, "seed")?,
         }),
         other => Err(field(
@@ -883,8 +924,11 @@ fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError
     match kind.as_str() {
         "cbr" => Ok(Transport::Cbr),
         "windowed" => Ok(Transport::Windowed {
-            window: req_u64(v, path, "window")? as usize,
-            ack_payload: opt_u64(v, path, "ack_payload", 40)? as u32,
+            window: narrow(&join(path, "window"), req_u64(v, path, "window")?)?,
+            ack_payload: narrow(
+                &join(path, "ack_payload"),
+                opt_u64(v, path, "ack_payload", 40)?,
+            )?,
         }),
         "onoff" => Ok(Transport::OnOff {
             mean_on: secs_to_duration(
@@ -911,11 +955,11 @@ fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
         .ok_or_else(|| field(&join(&p, "path"), "must be an array of node ids"))?;
     let mut path = Vec::with_capacity(path_arr.len());
     for (j, nv) in path_arr.iter().enumerate() {
-        path.push(
-            nv.as_u64()
-                .ok_or_else(|| field(&format!("{p}.path[{j}]"), "must be a non-negative integer"))?
-                as usize,
-        );
+        let jp = format!("{p}.path[{j}]");
+        let node = nv
+            .as_u64()
+            .ok_or_else(|| field(&jp, "must be a non-negative integer"))?;
+        path.push(narrow(&jp, node)?);
     }
     let transport = match v.get("transport") {
         None => Transport::Cbr,
@@ -925,7 +969,10 @@ fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
         id: i as u32,
         path,
         rate_bps: opt_u64(v, &p, "rate_bps", 2_000_000)?,
-        payload_bytes: opt_u64(v, &p, "payload_bytes", 1000)? as u32,
+        payload_bytes: narrow(
+            &join(&p, "payload_bytes"),
+            opt_u64(v, &p, "payload_bytes", 1000)?,
+        )?,
         start: secs_to_time(&join(&p, "start_secs"), req_f64(v, &p, "start_secs")?)?,
         stop: secs_to_time(&join(&p, "stop_secs"), req_f64(v, &p, "stop_secs")?)?,
         transport,
@@ -941,14 +988,17 @@ fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
     for (i, m) in mix_arr.iter().enumerate() {
         let mp = format!("traffic.mix[{i}]");
         mix.push(MixEntry {
-            weight: opt_u64(m, &mp, "weight", 1)? as u32,
+            weight: narrow(&join(&mp, "weight"), opt_u64(m, &mp, "weight", 1)?)?,
             transport: parse_transport(req(m, &mp, "transport")?, &join(&mp, "transport"))?,
         });
     }
     Ok(TrafficMix {
-        flows: req_u64(v, p, "flows")? as usize,
+        flows: narrow("traffic.flows", req_u64(v, p, "flows")?)?,
         rate_bps: req_u64(v, p, "rate_bps")?,
-        payload_bytes: opt_u64(v, p, "payload_bytes", 1000)? as u32,
+        payload_bytes: narrow(
+            "traffic.payload_bytes",
+            opt_u64(v, p, "payload_bytes", 1000)?,
+        )?,
         start: secs_to_time("traffic.start_secs", req_f64(v, p, "start_secs")?)?,
         stop: secs_to_time("traffic.stop_secs", req_f64(v, p, "stop_secs")?)?,
         mix,
@@ -995,8 +1045,8 @@ fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
                         return Err(field(&join(&lp, "per"), "must be a probability in [0, 1]"));
                     }
                     links.push(LinkPer {
-                        a: req_u64(l, &lp, "a")? as usize,
-                        b: req_u64(l, &lp, "b")? as usize,
+                        a: narrow(&join(&lp, "a"), req_u64(l, &lp, "a")?)?,
+                        b: narrow(&join(&lp, "b"), req_u64(l, &lp, "b")?)?,
                         per,
                         symmetric: opt_bool(l, &lp, "symmetric", true)?,
                     });
@@ -1014,8 +1064,8 @@ fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
                 for (i, l) in arr.iter().enumerate() {
                     let lp = format!("loss.burst_links[{i}]");
                     burst_links.push(LinkBurst {
-                        a: req_u64(l, &lp, "a")? as usize,
-                        b: req_u64(l, &lp, "b")? as usize,
+                        a: narrow(&join(&lp, "a"), req_u64(l, &lp, "a")?)?,
+                        b: narrow(&join(&lp, "b"), req_u64(l, &lp, "b")?)?,
                         ge: parse_ge(l, &lp)?,
                         symmetric: opt_bool(l, &lp, "symmetric", true)?,
                     });
@@ -1039,8 +1089,8 @@ fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
                         opt_f64(l, &lp, "phase_secs", 0.0)?,
                     )?;
                     churn.push(LinkChurn {
-                        a: req_u64(l, &lp, "a")? as usize,
-                        b: req_u64(l, &lp, "b")? as usize,
+                        a: narrow(&join(&lp, "a"), req_u64(l, &lp, "a")?)?,
+                        b: narrow(&join(&lp, "b"), req_u64(l, &lp, "b")?)?,
                         window: ChurnWindow::new(up, down, phase),
                         symmetric: opt_bool(l, &lp, "symmetric", true)?,
                     });
@@ -1068,13 +1118,11 @@ fn parse_sweep(v: &JsonValue) -> Result<SweepSpec, ScenarioError> {
             .as_array()
             .ok_or_else(|| field("sweep.queue_caps", "must be an array of integers"))?;
         for (i, q) in arr.iter().enumerate() {
-            let cap = q.as_u64().ok_or_else(|| {
-                field(
-                    &format!("sweep.queue_caps[{i}]"),
-                    "must be a positive integer",
-                )
-            })? as usize;
-            sweep.queue_caps.push(cap);
+            let qp = format!("sweep.queue_caps[{i}]");
+            let cap = q
+                .as_u64()
+                .ok_or_else(|| field(&qp, "must be a positive integer"))?;
+            sweep.queue_caps.push(narrow(&qp, cap)?);
         }
     }
     if let Some(ss) = v.get("seeds") {
@@ -1508,6 +1556,22 @@ mod tests {
         // Every generated path ends at a gateway.
         for f in &a.topology.flows {
             assert!(*f.path.last().unwrap() < 2);
+        }
+        // Weights up to the u32 limit sum without overflow; past it they
+        // are a field error, not a wrap.
+        let max = u32::MAX.to_string();
+        let huge = text
+            .replace("\"weight\": 2", &format!("\"weight\": {max}"))
+            .replace("\"weight\": 1", &format!("\"weight\": {max}"));
+        let c = ScenarioSpec::parse(&huge).unwrap().compile().unwrap();
+        assert_eq!(c.topology.flows[7].transport, Transport::Cbr);
+        let wrapped = text.replace("\"weight\": 2", "\"weight\": 4294967296");
+        match ScenarioSpec::parse(&wrapped).unwrap_err() {
+            ScenarioError::Field { path, message } => {
+                assert_eq!(path, "traffic.mix[0].weight");
+                assert!(message.contains("at most 4294967295"), "{message}");
+            }
+            other => panic!("expected field error, got {other:?}"),
         }
     }
 

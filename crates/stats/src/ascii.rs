@@ -5,7 +5,7 @@
 ///
 /// The chart is intentionally crude — its job is to make the *shape* of a
 /// reproduction (buffer blow-up, delay spike at a flow arrival, contention
-/// window staircase) visible in `cargo bench` output and EXPERIMENTS.md
+/// window staircase) visible in `experiments` output and EXPERIMENTS.md
 /// without any plotting dependency.
 pub fn render_series(title: &str, points: &[(f64, f64)], width: usize, height: usize) -> String {
     let mut out = String::new();

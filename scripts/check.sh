@@ -10,6 +10,8 @@ echo "== cargo clippy (workspace, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (workspace) =="
+# Includes the hot-path golden and the all-probes zero-interference leg
+# (crates/bench/tests/golden.rs).
 cargo test -q --workspace
 
 echo "== cargo doc (no deps, deny warnings) =="
@@ -31,22 +33,9 @@ cargo test -q -p ezflow-sim --test sched_equiv
 echo "== benchmark harness tests (perfbench) =="
 # perfbench/ is its own cargo workspace built against the simulator's
 # public API; running its tests here makes an API break fail this gate
-# instead of the next benchmark run.
+# instead of the next benchmark run. They also carry mesh1k's end-to-end
+# coverage (2 s of it, sliced vs single).
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-
-echo "== hot-path determinism gate (hotpath_bench --check) =="
-# Byte-compares the perf-zeroed run snapshots against the committed
-# golden (event counts, never wall time — non-flaky), and warns if
-# events/s fell >20% below the recorded BENCH_sim_speed.json entry.
-# These runs leave the flight recorder off, so this is also the
-# recorder-off byte-identity gate: disabled-recorder code must not
-# change a single counter.
-cargo run --release -q -p ezflow-bench --bin hotpath_bench -- --check
-
-echo "== mesh scale budget smoke (mesh_bench, non-recording) =="
-# The 1024-node mesh must stay inside its events/s floor and peak-RSS
-# ceiling. No --record: check runs never rewrite BENCH_sim_speed.json.
-cargo run --release -q -p ezflow-bench --bin mesh_bench >/dev/null
 
 echo "== flight recorder + trace CLI smoke =="
 # A short traced scenario-1 run exports lifecycle JSONL; the trace
